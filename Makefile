@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build vet test test-race race-core chaos-test net-chaos-test shard-chaos-test fleet-chaos-test crash-test fuzz-smoke bench figures suite suite-smoke trace-demo tracez-smoke serve-demo examples cover clean
+.PHONY: all check build vet test test-race chaos-test net-chaos-test shard-chaos-test fleet-chaos-test crash-test fuzz-smoke bench figures suite suite-smoke trace-demo tracez-smoke serve-demo examples cover clean
 
 all: check
 
@@ -16,14 +16,9 @@ vet:
 test:
 	$(GO) test ./...
 
+# The whole tree under the race detector (CI's race job).
 test-race:
 	$(GO) test -race ./...
-
-# The concurrency-sensitive packages under the race detector — the
-# layers a live metrics scraper reads while workers mutate (CI's
-# second job; test-race covers everything but takes much longer).
-race-core:
-	$(GO) test -race ./internal/trace ./internal/metrics ./internal/buffer ./internal/volcano ./internal/serve
 
 # The query-lifecycle chaos tests under the race detector: concurrent
 # queries with random-point cancellation, goroutine-leak and

@@ -13,6 +13,7 @@ import (
 
 	"revelation/internal/assembly"
 	"revelation/internal/bench"
+	"revelation/internal/disk"
 	"revelation/internal/gen"
 	"revelation/internal/volcano"
 )
@@ -211,26 +212,28 @@ func BenchmarkAssemblyVsPointerJoin(b *testing.B) {
 	tmpl.Children[0].Children = nil
 	tmpl.Children[1].Children = nil
 
-	cold := func() {
+	// cold empties the pool, parks the head, and returns the device
+	// counters the pass is measured against.
+	cold := func() disk.Stats {
 		if err := db.Pool.EvictAll(); err != nil {
 			b.Fatal(err)
 		}
-		db.Device.ResetStats()
 		db.Device.ResetHead()
+		return db.Device.Stats()
 	}
 	var asmSeek, naiveSeek, sortedSeek float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cold()
+		dev0 := cold()
 		op := assembly.New(volcano.NewSlice(roots), db.Store, tmpl,
 			assembly.Options{Window: 50, Scheduler: assembly.Elevator})
 		if _, err := volcano.Count(op); err != nil {
 			b.Fatal(err)
 		}
-		asmSeek = db.Device.Stats().AvgSeekPerRead()
+		asmSeek = db.Device.Stats().Sub(dev0).AvgSeekPerRead()
 
 		for _, mode := range []volcano.PointerJoinMode{volcano.NaivePointer, volcano.SortedPointer} {
-			cold()
+			dev0 := cold()
 			// Join root objects to child 0, then parents to child 1 —
 			// the n-way pointer join the paper contrasts with
 			// assembly (Section 4: "a pointer join would require at
@@ -258,9 +261,9 @@ func BenchmarkAssemblyVsPointerJoin(b *testing.B) {
 				b.Fatal(err)
 			}
 			if mode == volcano.NaivePointer {
-				naiveSeek = db.Device.Stats().AvgSeekPerRead()
+				naiveSeek = db.Device.Stats().Sub(dev0).AvgSeekPerRead()
 			} else {
-				sortedSeek = db.Device.Stats().AvgSeekPerRead()
+				sortedSeek = db.Device.Stats().Sub(dev0).AvgSeekPerRead()
 			}
 		}
 	}

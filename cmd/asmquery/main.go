@@ -107,29 +107,31 @@ func main() {
 		}
 	}
 
-	cold := func() {
+	// cold empties the pool, parks the head, and returns the device
+	// counters the run is measured against.
+	cold := func() disk.Stats {
 		if err := db.Pool.EvictAll(); err != nil {
 			fail("evict: %v", err)
 		}
 		db.Pool.ResetStats()
-		db.Device.ResetStats()
 		db.Device.ResetHead()
+		return db.Device.Stats()
 	}
 	fmt.Println()
 	var naiveN, revN = -1, -1
 	if *mode == "naive" || *mode == "both" {
-		cold()
+		base := cold()
 		res, err := query.NaiveExec(db.Store, q)
 		if err != nil {
 			fail("naive: %v", err)
 		}
-		st := db.Device.Stats()
+		st := db.Device.Stats().Sub(base)
 		naiveN = len(res)
 		fmt.Printf("naive:    %5d results, %7d reads, avg seek %8.1f pages\n",
 			len(res), st.Reads, st.AvgSeekPerRead())
 	}
 	if *mode == "revealed" || *mode == "both" {
-		cold()
+		base := cold()
 		plan, err := query.Reveal(db.Store, q, opts)
 		if err != nil {
 			fail("reveal: %v", err)
@@ -149,7 +151,7 @@ func main() {
 			}
 			fail("revealed: %v", err)
 		}
-		st := db.Device.Stats()
+		st := db.Device.Stats().Sub(base)
 		revN = len(res)
 		fmt.Printf("revealed: %5d results, %7d reads, avg seek %8.1f pages\n",
 			len(res), st.Reads, st.AvgSeekPerRead())

@@ -42,8 +42,8 @@ func main() {
 		if err := db.Pool.EvictAll(); err != nil {
 			log.Fatal(err)
 		}
-		db.Device.ResetStats()
 		db.Device.ResetHead()
+		dev0 := db.Device.Stats()
 		plan := volcano.NewExchange(len(parts), func(part int) (volcano.Iterator, error) {
 			return assembly.New(volcano.NewSlice(parts[part]), db.Store, db.Template,
 				assembly.Options{Window: 25, Scheduler: assembly.Elevator}), nil
@@ -52,7 +52,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		return n, db.Device.Stats()
+		return n, db.Device.Stats().Sub(dev0)
 	}
 
 	items := make([]volcano.Item, len(db.Roots))
@@ -142,8 +142,8 @@ func assembledSet(db *gen.Database, degree int) (map[revelation.OID]bool, error)
 func demoServerSweep(db *gen.Database) {
 	dev := db.Device
 	read := func(direct bool, srv *disk.Server) float64 {
-		dev.ResetStats()
 		dev.ResetHead()
+		dev0 := dev.Stats()
 		done := make(chan struct{})
 		for c := 0; c < 32; c++ {
 			go func(c int) {
@@ -169,7 +169,7 @@ func demoServerSweep(db *gen.Database) {
 		for c := 0; c < 32; c++ {
 			<-done
 		}
-		return dev.Stats().AvgSeekPerRead()
+		return dev.Stats().Sub(dev0).AvgSeekPerRead()
 	}
 	direct := read(true, nil)
 	srv := disk.NewServer(dev)

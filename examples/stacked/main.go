@@ -42,7 +42,7 @@ func main() {
 	if err := db.Pool.EvictAll(); err != nil {
 		log.Fatal(err)
 	}
-	db.Device.ResetStats()
+	dev0 := db.Device.Stats()
 
 	plan, err := assembly.NewStacked(assembly.StackedConfig{
 		Store:    db.Store,
@@ -66,7 +66,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stacked := db.Device.Stats()
+	stacked := db.Device.Stats().Sub(dev0)
 
 	// Verify every complex object is complete and correctly swizzled.
 	for _, it := range items {
@@ -89,7 +89,7 @@ func main() {
 	if err := db.Pool.EvictAll(); err != nil {
 		log.Fatal(err)
 	}
-	db.Device.ResetStats()
+	dev0 = db.Device.Stats()
 	roots := make([]volcano.Item, len(db.Roots))
 	for i, r := range db.Roots {
 		roots[i] = r
@@ -100,7 +100,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st := db.Device.Stats()
+	st := db.Device.Stats().Sub(dev0)
 	fmt.Printf("single top-down operator:   %d complex objects, %d reads, avg seek %.1f pages\n",
 		n, st.Reads, st.AvgSeekPerRead())
 	fmt.Println("\nboth plans produce the same complex objects; stacking exists for plans")

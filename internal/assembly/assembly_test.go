@@ -425,15 +425,16 @@ func TestElevatorSeeksLessThanDepthFirstOnRandomLayout(t *testing.T) {
 	s, tmpl, roots := scatteredStore(t, 200)
 	dev := s.File.Pool().Device()
 
+	dev0 := dev.Stats()
 	assembleAll(t, s, tmpl, roots, Options{Window: 1, Scheduler: DepthFirst})
-	naive := dev.Stats().AvgSeekPerRead()
+	naive := dev.Stats().Sub(dev0).AvgSeekPerRead()
 
 	if err := s.File.Pool().EvictAll(); err != nil {
 		t.Fatal(err)
 	}
-	dev.ResetStats()
+	dev0 = dev.Stats()
 	assembleAll(t, s, tmpl, roots, Options{Window: 50, Scheduler: Elevator})
-	elev := dev.Stats().AvgSeekPerRead()
+	elev := dev.Stats().Sub(dev0).AvgSeekPerRead()
 
 	if elev >= naive {
 		t.Errorf("elevator (%.1f) not better than object-at-a-time (%.1f)", elev, naive)
@@ -494,7 +495,6 @@ func scatteredStore(t *testing.T, n int) (*object.Store, *Template, []object.OID
 	if err := pool.EvictAll(); err != nil {
 		t.Fatal(err)
 	}
-	d.ResetStats()
 	return s, tmpl, roots
 }
 

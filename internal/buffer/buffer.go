@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"revelation/internal/disk"
 	"revelation/internal/metrics"
@@ -352,10 +351,6 @@ func (p *Pool) fix(ctx context.Context, id disk.PageID) (*Frame, error) {
 	}
 	sp := qtrace.From(ctx)
 	p.tick++
-	var start time.Time
-	if p.tr != nil {
-		start = time.Now()
-	}
 	if f, ok := p.table[id]; ok {
 		f.pins++
 		if f.pins == 1 {
@@ -366,10 +361,7 @@ func (p *Pool) fix(ctx context.Context, id disk.PageID) (*Frame, error) {
 		p.hits.Inc()
 		sp.OnHit()
 		p.notePins()
-		if p.tr != nil {
-			p.tr.BufferQ(trace.KindHit, int64(id), 0, sp.QID())
-			p.tr.Observe("buffer/hit", time.Since(start))
-		}
+		p.tr.BufferQ(trace.KindHit, int64(id), 0, sp.QID())
 		return f, nil
 	}
 	f, err := p.victimLocked()
@@ -403,10 +395,7 @@ func (p *Pool) fix(ctx context.Context, id disk.PageID) (*Frame, error) {
 	p.faults.Inc()
 	sp.OnMiss()
 	p.notePins()
-	if p.tr != nil {
-		p.tr.BufferQ(trace.KindMiss, int64(id), 0, sp.QID())
-		p.tr.Observe("buffer/miss", time.Since(start))
-	}
+	p.tr.BufferQ(trace.KindMiss, int64(id), 0, sp.QID())
 	return f, nil
 }
 

@@ -162,19 +162,27 @@ func TestSimFaultInjection(t *testing.T) {
 	}
 }
 
-func TestSimResetStats(t *testing.T) {
+// TestSimStatsSub pins the snapshot-and-Sub rule that replaced
+// resetting device counters: a snapshot moves nothing, the delta counts
+// only the accesses after it, and MaxSeek stays the lifetime maximum.
+func TestSimStatsSub(t *testing.T) {
 	d := New(10)
 	buf := make([]byte, DefaultPageSize)
 	if err := d.ReadPage(7, buf); err != nil {
 		t.Fatal(err)
 	}
-	d.ResetStats()
-	st := d.Stats()
-	if st.Reads != 0 || st.SeekTotal != 0 {
-		t.Errorf("stats not reset: %+v", st)
-	}
+	st0 := d.Stats()
 	if d.Head() != 7 {
-		t.Errorf("ResetStats moved head: %d", d.Head())
+		t.Errorf("Stats moved head: %d", d.Head())
+	}
+	if st := d.Stats().Sub(st0); st != (Stats{MaxSeek: 7}) {
+		t.Errorf("empty interval: %+v", st)
+	}
+	if err := d.ReadPage(5, buf); err != nil {
+		t.Fatal(err)
+	}
+	if st := d.Stats().Sub(st0); st != (Stats{Reads: 1, SeekTotal: 2, SeekReads: 2, MaxSeek: 7}) {
+		t.Errorf("interval after one read: %+v", st)
 	}
 }
 
@@ -389,7 +397,7 @@ func TestServerSweepSplitsAtHead(t *testing.T) {
 	if err := d.ReadPage(400, buf); err != nil { // park head at 400
 		t.Fatal(err)
 	}
-	d.ResetStats()
+	st0 := d.Stats()
 	s := &Server{dev: d, stopped: make(chan struct{})}
 	s.cond = sync.NewCond(&s.mu)
 	var reqs []*request
@@ -406,7 +414,7 @@ func TestServerSweepSplitsAtHead(t *testing.T) {
 	}
 	s.Close()
 	// Up: 400->500->600 (200), then down: 600->300->200 (400). Total 600.
-	if got := d.Stats().SeekReads; got != 600 {
+	if got := d.Stats().Sub(st0).SeekReads; got != 600 {
 		t.Errorf("SeekReads = %d, want 600 (up then down sweep)", got)
 	}
 }

@@ -118,10 +118,6 @@ func TestStripedStatsAggregate(t *testing.T) {
 	if agg.Reads != 5 || agg.SeekReads != 8 {
 		t.Errorf("aggregate = %+v", agg)
 	}
-	s.ResetStats()
-	if s.Stats().Reads != 0 {
-		t.Error("ResetStats did not propagate")
-	}
 }
 
 func TestStripedHeadTracksLastGlobal(t *testing.T) {

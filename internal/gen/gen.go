@@ -438,13 +438,13 @@ func Build(cfg Config) (*Database, error) {
 			}
 		}
 	}
-	// Load traffic must not pollute the experiment's metric, and the
-	// pool must start cold: the paper measures disk behaviour.
+	// The pool must start cold and the head parked: the paper measures
+	// disk behaviour. The device keeps its load traffic in its counters;
+	// a measured run differences two Stats snapshots.
 	if err := pool.EvictAll(); err != nil {
 		return nil, err
 	}
 	pool.ResetStats()
-	dev.ResetStats()
 	dev.ResetHead()
 
 	// --- template ---

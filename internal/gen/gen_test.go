@@ -3,6 +3,7 @@ package gen
 import (
 	"testing"
 
+	"revelation/internal/disk"
 	"revelation/internal/object"
 )
 
@@ -23,9 +24,16 @@ func TestBuildDefaults(t *testing.T) {
 	if n, _ := db.Store.Locator.Len(); n != 700 {
 		t.Errorf("locator has %d objects, want 700", n)
 	}
-	// Cold start: generation traffic must be invisible.
-	if db.Device.Stats().Reads != 0 {
-		t.Errorf("device stats not reset: %+v", db.Device.Stats())
+	// Cold start: the head is parked at page 0 and the pool is empty
+	// with zeroed counters.
+	if h := db.Device.Head(); h != 0 {
+		t.Errorf("head not parked: %d", h)
+	}
+	for p := 0; p < db.Device.NumPages(); p++ {
+		if db.Pool.Contains(disk.PageID(p)) {
+			t.Errorf("pool not cold: page %d resident", p)
+			break
+		}
 	}
 	if db.Pool.Stats().Hits+db.Pool.Stats().Faults != 0 {
 		t.Errorf("pool stats not reset: %+v", db.Pool.Stats())

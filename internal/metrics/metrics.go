@@ -42,9 +42,9 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Reset zeroes the counter. It exists for the cold-start semantics of
-// Device.ResetStats and for tests; a scraped counter should normally
-// never reset.
+// Reset zeroes the counter. It exists for buffer.Pool.ResetStats and
+// for re-arming the fault injector (disk.Faulty.SetConfig); a scraped
+// counter should normally never reset.
 func (c *Counter) Reset() { c.v.Store(0) }
 
 // Gauge is a cell that can go up and down. The zero value is ready to

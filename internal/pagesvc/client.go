@@ -111,9 +111,7 @@ type Client struct {
 	readFrom  *endpoint // current read target (primary until failover)
 	numPages  int
 	pageSize  int
-	head      disk.PageID
-	stats     disk.Stats
-	diskTr    *trace.Tracer   // disk-layer events from the local head accounting
+	arm       disk.Arm        // client-side head accounting and disk-layer events
 	latencies []time.Duration // ring of recent read RTTs
 	latNext   int
 	closed    bool
@@ -655,10 +653,9 @@ func (c *Client) ReadPageCtx(ctx context.Context, p disk.PageID, buf []byte) err
 }
 
 func (c *Client) readPage(p disk.PageID, buf []byte, sp *qtrace.Span) error {
-	if err := c.checkAccess(p, buf); err != nil {
+	if err := c.admit(p, buf, true, sp); err != nil {
 		return err
 	}
-	c.account(p, true, sp)
 	// One reqID for the whole logical read: every retry, reconnect
 	// re-send, and hedge leg below reuses it.
 	reqID := c.nextID()
@@ -678,10 +675,9 @@ func (c *Client) readPage(p disk.PageID, buf []byte, sp *qtrace.Span) error {
 // and never fail over: there is exactly one write master, and when it
 // is down writes fail transiently until it returns.
 func (c *Client) WritePage(p disk.PageID, buf []byte) error {
-	if err := c.checkAccess(p, buf); err != nil {
+	if err := c.admit(p, buf, false, nil); err != nil {
 		return err
 	}
-	c.account(p, false, nil)
 	body := make([]byte, 4+len(buf))
 	binary.LittleEndian.PutUint32(body, uint32(p))
 	copy(body[4:], buf)
@@ -741,29 +737,18 @@ func (c *Client) PageSize() int {
 func (c *Client) Head() disk.PageID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.head
+	return c.arm.Head()
 }
 
 // Stats reports client-side access counters with local seek
 // accounting.
-func (c *Client) Stats() disk.Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
-
-// ResetStats zeroes the counters.
-func (c *Client) ResetStats() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats = disk.Stats{}
-}
+func (c *Client) Stats() disk.Stats { return c.arm.Stats() }
 
 // ResetHead parks the head at page 0 without accounting a seek.
 func (c *Client) ResetHead() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.head = 0
+	c.arm.Park()
 }
 
 // Close severs every endpoint connection.
@@ -786,7 +771,10 @@ func (c *Client) Close() error {
 	return nil
 }
 
-func (c *Client) checkAccess(p disk.PageID, buf []byte) error {
+// admit validates an access and books it at the local head before it
+// goes on the wire — once per logical access, however many retries or
+// hedges follow — charging a read to sp when a query span rode in.
+func (c *Client) admit(p disk.PageID, buf []byte, read bool, sp *qtrace.Span) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -798,6 +786,7 @@ func (c *Client) checkAccess(p disk.PageID, buf []byte) error {
 	if int(p) >= c.numPages {
 		return fmt.Errorf("%w: page %d of %d", disk.ErrOutOfRange, p, c.numPages)
 	}
+	c.arm.Access(p, read, sp)
 	return nil
 }
 
@@ -811,38 +800,7 @@ func (c *Client) checkAccess(p disk.PageID, buf []byte) error {
 func (c *Client) SetTracer(t *trace.Tracer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.diskTr = t
-}
-
-// account moves the local head to p and books the seek, charging reads
-// to sp when a query span rode in.
-func (c *Client) account(p disk.PageID, read bool, sp *qtrace.Span) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	prev := c.head
-	dist := int64(p) - int64(prev)
-	if dist < 0 {
-		dist = -dist
-	}
-	c.head = p
-	if read {
-		c.stats.Reads++
-		c.stats.SeekReads += dist
-		sp.OnRead(dist)
-	} else {
-		c.stats.Writes++
-	}
-	c.stats.SeekTotal += dist
-	if dist > c.stats.MaxSeek {
-		c.stats.MaxSeek = dist
-	}
-	if c.diskTr != nil {
-		kind := trace.KindWrite
-		if read {
-			kind = trace.KindRead
-		}
-		c.diskTr.DiskQ(kind, int64(p), int64(prev), dist, sp.QID())
-	}
+	c.arm.SetTracer(t)
 }
 
 var _ disk.Device = (*Client)(nil)

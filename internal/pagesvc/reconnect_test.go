@@ -39,7 +39,8 @@ func TestReconnectDeterministicIDsNoDoubleCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv := NewServer([]disk.Device{sim}, ServerConfig{})
+	gate := newGatedDevice(sim)
+	srv := NewServer([]disk.Device{gate}, ServerConfig{})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -91,15 +92,21 @@ func TestReconnectDeterministicIDsNoDoubleCount(t *testing.T) {
 	}
 	close(start)
 
-	// Kill the live primary connection while reads are in flight. Every
-	// pending request gets an error response; the retry policy re-sends
-	// it over the fresh connection under the same request id.
-	time.Sleep(2 * time.Millisecond)
+	// Kill the live primary connection while reads are in flight: the
+	// server holds every read at the gate, so once one has reached it
+	// the connection has at least one pending request. Every pending
+	// request gets an error response; the retry policy re-sends it over
+	// the fresh connection under the same request id.
+	<-gate.reached
 	c.primary.mu.Lock()
 	cc := c.primary.conn
 	c.primary.mu.Unlock()
 	if cc != nil {
 		cc.fail(netErr("test", errors.New("injected sever")))
+	}
+	close(gate.release)
+	if cc == nil {
+		t.Fatal("no live primary connection with a read in flight")
 	}
 
 	wg.Wait()
@@ -158,4 +165,25 @@ func TestReconnectDeterministicIDsNoDoubleCount(t *testing.T) {
 	c.Close()
 	srv.Close()
 	leakcheck.CheckWithin(t, goroutines, 2*time.Second)
+}
+
+// gatedDevice holds every read until release is closed and closes
+// reached when the first read arrives, so a test can act while a read
+// is provably in flight on the server.
+type gatedDevice struct {
+	disk.Device
+	once    sync.Once
+	reached chan struct{}
+	release chan struct{}
+}
+
+func newGatedDevice(dev disk.Device) *gatedDevice {
+	return &gatedDevice{Device: dev, reached: make(chan struct{}), release: make(chan struct{})}
+}
+
+// ReadPage implements disk.Device.
+func (g *gatedDevice) ReadPage(p disk.PageID, buf []byte) error {
+	g.once.Do(func() { close(g.reached) })
+	<-g.release
+	return g.Device.ReadPage(p, buf)
 }

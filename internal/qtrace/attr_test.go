@@ -198,7 +198,6 @@ func TestPerQueryAttributionPagesvc(t *testing.T) {
 		t.Fatal(err)
 	}
 	quiesce(t, db)
-	client.ResetStats()
 	client.SetTracer(tr)
 	if n := len(serverQC.Active()) + len(serverQC.Completed()); n != 0 {
 		t.Fatalf("build traffic created %d server-side traces", n)

@@ -82,22 +82,22 @@ func TestRevealedPlanSavesIO(t *testing.T) {
 	if err := db.Pool.EvictAll(); err != nil {
 		t.Fatal(err)
 	}
-	db.Device.ResetStats()
 	db.Device.ResetHead()
+	dev0 := db.Device.Stats()
 	if _, err := NaiveExec(db.Store, q); err != nil {
 		t.Fatal(err)
 	}
-	naiveStats := db.Device.Stats()
+	naiveStats := db.Device.Stats().Sub(dev0)
 
 	if err := db.Pool.EvictAll(); err != nil {
 		t.Fatal(err)
 	}
-	db.Device.ResetStats()
 	db.Device.ResetHead()
+	dev0 = db.Device.Stats()
 	if _, err := RevealExec(db.Store, q, assembly.Options{Window: 50, Scheduler: assembly.Elevator}); err != nil {
 		t.Fatal(err)
 	}
-	revStats := db.Device.Stats()
+	revStats := db.Device.Stats().Sub(dev0)
 
 	if revStats.Reads >= naiveStats.Reads {
 		t.Errorf("revealed plan reads %d, naive %d", revStats.Reads, naiveStats.Reads)

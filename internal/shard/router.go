@@ -818,32 +818,13 @@ func (r *Router) Head() disk.PageID {
 // combined view must count it).
 func (r *Router) Stats() disk.Stats {
 	var total disk.Stats
-	add := func(st disk.Stats) {
-		total.Reads += st.Reads
-		total.Writes += st.Writes
-		total.SeekTotal += st.SeekTotal
-		total.SeekReads += st.SeekReads
-		if st.MaxSeek > total.MaxSeek {
-			total.MaxSeek = st.MaxSeek
-		}
-	}
 	for _, m := range r.membersSnapshot() {
-		add(m.Primary.Stats())
+		total = total.Add(m.Primary.Stats())
 		if m.Replica != nil {
-			add(m.Replica.Stats())
+			total = total.Add(m.Replica.Stats())
 		}
 	}
 	return total
-}
-
-// ResetStats implements disk.Device.
-func (r *Router) ResetStats() {
-	for _, m := range r.membersSnapshot() {
-		m.Primary.ResetStats()
-		if m.Replica != nil {
-			m.Replica.ResetStats()
-		}
-	}
 }
 
 // ResetHead implements disk.Device.

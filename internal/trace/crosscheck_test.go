@@ -12,24 +12,24 @@ import (
 )
 
 // coldStart resets a generated database to the state every benchmark
-// run begins from: empty pool, zeroed counters, head parked at 0.
+// run begins from: empty pool, zeroed pool counters, head parked at 0.
 func coldStart(t *testing.T, db *gen.Database) {
 	t.Helper()
 	if err := db.Pool.EvictAll(); err != nil {
 		t.Fatalf("EvictAll: %v", err)
 	}
 	db.Pool.ResetStats()
-	db.Device.ResetStats()
 	db.Device.ResetHead()
 }
 
 // tracedAssembly runs one assembly pass over db with every layer
 // traced into a collector and returns the replay and raw events next
-// to the layers' own counters.
+// to the layers' own counters for the pass.
 func tracedAssembly(t *testing.T, db *gen.Database, opts assembly.Options) (*trace.Replay, []trace.Event, disk.Stats, assembly.Stats) {
 	t.Helper()
 	col := &trace.Collector{}
 	tr := trace.New(col)
+	dev0 := db.Device.Stats()
 	disk.AttachTracer(db.Device, tr)
 	db.Pool.SetTracer(tr)
 	defer func() {
@@ -52,7 +52,7 @@ func tracedAssembly(t *testing.T, db *gen.Database, opts assembly.Options) (*tra
 		t.Fatalf("drained %d items but operator assembled %d", n, st.Assembled)
 	}
 	events := col.Events()
-	return trace.ReplayEvents(events), events, db.Device.Stats(), st
+	return trace.ReplayEvents(events), events, db.Device.Stats().Sub(dev0), st
 }
 
 // TestReplayMatchesStats is the tentpole contract: for every scheduling

@@ -21,13 +21,12 @@
 //     off and no call site needs a guard.
 //   - Events carry no wall-clock timestamps: the stream is a pure
 //     function of the run, byte-for-byte reproducible under a fixed
-//     seed. Latency lives only in the in-memory histograms.
+//     seed. Per-query wall-clock time is internal/qtrace's concern.
 package trace
 
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // Layers. Every event belongs to exactly one.
@@ -171,27 +170,22 @@ type Sink interface {
 }
 
 // Tracer assigns sequence numbers, maintains the in-memory aggregates
-// (per layer/kind counts, seek and latency histograms), and fans events
+// (per layer/kind counts and the seek histogram), and fans events
 // out to its sinks. The zero *Tracer (nil) is a no-op: every method is
 // nil-safe, which is the whole overhead budget of disabled tracing —
 // one branch per instrumentation point.
 type Tracer struct {
-	mu      sync.Mutex
-	seq     uint64
-	sinks   []Sink
-	counts  map[string]int64
-	seek    Hist
-	latency map[string]*Hist
+	mu     sync.Mutex
+	seq    uint64
+	sinks  []Sink
+	counts map[string]int64
+	seek   Hist
 }
 
 // New builds a tracer over the given sinks. A tracer with no sinks
-// still aggregates counts and histograms.
+// still aggregates counts and the seek histogram.
 func New(sinks ...Sink) *Tracer {
-	return &Tracer{
-		sinks:   sinks,
-		counts:  map[string]int64{},
-		latency: map[string]*Hist{},
-	}
+	return &Tracer{sinks: sinks, counts: map[string]int64{}}
 }
 
 // Enabled reports whether the tracer records anything. It is the
@@ -334,23 +328,6 @@ func (t *Tracer) EndRun(name string, rs RunStats) {
 	t.emit(Event{Layer: LayerBench, Kind: KindEnd, Page: NoPage, Head: NoPage, Dist: NoPage, Note: name, Stats: &stats})
 }
 
-// Observe records a latency sample (in nanoseconds) under the given
-// key, e.g. "disk/read". Latencies never enter the event stream — they
-// would break determinism — only the in-memory histograms.
-func (t *Tracer) Observe(key string, d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	h := t.latency[key]
-	if h == nil {
-		h = &Hist{}
-		t.latency[key] = h
-	}
-	h.Add(int64(d))
-	t.mu.Unlock()
-}
-
 // Counts returns a snapshot of the per layer/kind event counts, keyed
 // "layer/kind".
 func (t *Tracer) Counts() map[string]int64 {
@@ -375,34 +352,4 @@ func (t *Tracer) SeekHist() Hist {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.seek
-}
-
-// LatencyHist returns a snapshot of the latency histogram under key,
-// and whether any samples exist.
-func (t *Tracer) LatencyHist(key string) (Hist, bool) {
-	if t == nil {
-		return Hist{}, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	h := t.latency[key]
-	if h == nil {
-		return Hist{}, false
-	}
-	return *h, true
-}
-
-// LatencyKeys returns the keys with at least one latency sample, in
-// unspecified order.
-func (t *Tracer) LatencyKeys() []string {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	keys := make([]string, 0, len(t.latency))
-	for k := range t.latency {
-		keys = append(keys, k)
-	}
-	return keys
 }

@@ -116,7 +116,8 @@ type Engine struct {
 	Pool   *buffer.Pool
 	Store  *object.Store
 
-	closed bool
+	devBase disk.Stats // device counters at the last ResetMeasurements
+	closed  bool
 }
 
 // New creates an engine per the configuration.
@@ -210,13 +211,15 @@ func (e *Engine) AssembleAll(roots []OID, tmpl *Template, opts Options) ([]*Inst
 	return out, nil
 }
 
-// DeviceStats reports the device counters (reads, seek distance): the
-// paper's metric is DeviceStats().AvgSeekPerRead().
-func (e *Engine) DeviceStats() DeviceStats { return e.Device.Stats() }
+// DeviceStats reports the device counters (reads, seek distance) since
+// the last ResetMeasurements: the paper's metric is
+// DeviceStats().AvgSeekPerRead(). MaxSeek is the device-lifetime
+// maximum (see disk.Stats.Sub).
+func (e *Engine) DeviceStats() DeviceStats { return e.Device.Stats().Sub(e.devBase) }
 
-// ResetMeasurements clears device and pool counters and parks the head
-// so a measured run starts clean; set cold to also empty the buffer
-// pool.
+// ResetMeasurements starts a measured run: it clears the pool counters,
+// takes the device baseline DeviceStats reports against, and parks the
+// head; set cold to also empty the buffer pool first.
 func (e *Engine) ResetMeasurements(cold bool) error {
 	if cold {
 		if err := e.Pool.EvictAll(); err != nil {
@@ -224,7 +227,7 @@ func (e *Engine) ResetMeasurements(cold bool) error {
 		}
 	}
 	e.Pool.ResetStats()
-	e.Device.ResetStats()
+	e.devBase = e.Device.Stats()
 	e.Device.ResetHead()
 	return nil
 }
