@@ -61,12 +61,15 @@ fleet-chaos-test:
 crash-test:
 	CRASH_OPS=96 $(GO) test -run TestCrashPointSweep -v ./internal/wal
 
-# A short coverage-guided fuzz of the slotted page (including the
-# corruption op that tries to break the bounds checks) and of the
-# page-service wire header decoder (malformed frames must error, never
-# panic or over-allocate).
+# A short coverage-guided fuzz of every decoder of untrusted bytes: the
+# slotted page (including the corruption op that tries to break the
+# bounds checks), the object record decoder, the write-ahead log
+# scanner over arbitrary device bytes, and the page-service wire header
+# decoder (malformed input must error, never panic or over-allocate).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzPageOps -fuzztime=10s ./internal/page
+	$(GO) test -fuzz=FuzzDecode -fuzztime=10s ./internal/object
+	$(GO) test -fuzz=FuzzWALReader -fuzztime=10s ./internal/wal
 	$(GO) test -fuzz=FuzzProtoDecode -fuzztime=10s ./internal/pagesvc
 
 # One testing.B bench per paper figure at the repo root, plus the

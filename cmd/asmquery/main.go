@@ -113,7 +113,6 @@ func main() {
 		if err := db.Pool.EvictAll(); err != nil {
 			fail("evict: %v", err)
 		}
-		db.Pool.ResetStats()
 		db.Device.ResetHead()
 		return db.Device.Stats()
 	}

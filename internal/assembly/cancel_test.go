@@ -15,7 +15,6 @@ import (
 	"revelation/internal/assembly"
 	"revelation/internal/disk"
 	"revelation/internal/gen"
-	"revelation/internal/stats"
 	"revelation/internal/trace"
 	"revelation/internal/volcano"
 )
@@ -50,6 +49,7 @@ func TestCancelMidAssemblyWithQuarantine(t *testing.T) {
 	if err := w.db.Pool.EvictAll(); err != nil {
 		t.Fatal(err)
 	}
+	pool0 := w.db.Pool.Stats()
 
 	col := trace.NewCollector()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -131,11 +131,15 @@ func TestCancelMidAssemblyWithQuarantine(t *testing.T) {
 		t.Errorf("replay %+v disagrees with stats %+v", rs, st)
 	}
 
-	// And the fault report built from the same run is internally
-	// consistent: nothing in flight remains anywhere in the stack.
-	rep := stats.CollectFaults(w.dev, w.db.Pool, nil, st)
-	if rep.Skipped != st.Skipped || rep.Assembled != st.Assembled {
-		t.Errorf("fault report %+v disagrees with stats %+v", rep, st)
+	// And the layers below agree on the run's faults: every injected
+	// permanent fault surfaced through the pool as a terminal error,
+	// none was retried, and each quarantine is backed by one of them.
+	faults, pool := w.dev.FaultStats(), w.db.Pool.Stats().Sub(pool0)
+	if pool.PermanentErrors != faults.Permanent || pool.Retries != 0 || pool.TransientErrors != 0 {
+		t.Errorf("pool delta %+v disagrees with injector %+v", pool, faults)
+	}
+	if st.Skipped > int(faults.Permanent) {
+		t.Errorf("%d quarantines but only %d permanent faults injected", st.Skipped, faults.Permanent)
 	}
 }
 

@@ -47,8 +47,7 @@ func (ci componentIterator) discover(item *workItem, root *Instance, deep, abort
 			}
 			oid := in.Object.Refs[ct.RefField]
 			if oid.IsNil() {
-				ci.op.stats.NilRefs++
-				ci.op.cells.nilRefs.Inc()
+				count(&ci.op.probe.stats.NilRefs, ci.op.probe.nilRefs)
 				if abortOnRequiredNil && ct.Required {
 					aborted = true
 					return

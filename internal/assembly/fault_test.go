@@ -194,6 +194,7 @@ func TestChaosTransientAbsorbedByPoolRetry(t *testing.T) {
 	w.dev.SetConfig(disk.FaultConfig{Seed: 5, TransientRate: 0.05, TransientFailures: 2})
 	w.db.Pool.SetRetry(disk.RetryPolicy{MaxAttempts: 4})
 	defer w.db.Pool.SetRetry(disk.RetryPolicy{})
+	pool0 := w.db.Pool.Stats()
 	got, st := w.runFaulted(t, assembly.Options{
 		Window:    8,
 		Scheduler: assembly.Elevator,
@@ -207,7 +208,7 @@ func TestChaosTransientAbsorbedByPoolRetry(t *testing.T) {
 			t.Fatalf("root %v diverged from oracle", root)
 		}
 	}
-	if retries := w.db.Pool.Stats().Retries; retries == 0 {
+	if retries := w.db.Pool.Stats().Sub(pool0).Retries; retries == 0 {
 		t.Error("pool retry policy never fired")
 	}
 }
@@ -418,7 +419,7 @@ func TestTransientExhaustionSurfacesNotQuarantines(t *testing.T) {
 		t.Fatal(err)
 	}
 	op := assembly.New(rootsSource(w.db.Roots), w.db.Store, w.db.Template,
-		assembly.Options{Window: 4, FaultPolicy: assembly.RetryFaults, MaxRefRetries: 2})
+		assembly.Options{Window: 4, FaultPolicy: assembly.RetryFaults})
 	_, err := volcano.Drain(op)
 	if err == nil {
 		t.Fatal("assembly over an endlessly flapping device succeeded")

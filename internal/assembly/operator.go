@@ -64,10 +64,6 @@ type Options struct {
 	// fetching referenced components. The default (FailFast) is the
 	// paper's implicit behavior: any error aborts the whole operator.
 	FaultPolicy FaultPolicy
-	// MaxRefRetries bounds per-reference retries under RetryFaults;
-	// values < 1 mean 3. Exhausting the budget on a still-transient
-	// error surfaces the error; only permanent faults quarantine.
-	MaxRefRetries int
 	// Tracer, when non-nil, receives an assembly event for every window
 	// admission, scheduling decision, fetch, link, emission, abort,
 	// quarantine, retry, and stall. A nil tracer costs one branch per
@@ -106,12 +102,12 @@ const (
 	// failed: the object is discarded with its pins released and
 	// counted in Stats.Skipped while the rest of the window proceeds.
 	SkipObject
-	// RetryFaults retries transiently failed references (bounded by
-	// MaxRefRetries). Permanent faults quarantine the complex object
-	// immediately (as SkipObject); a transient fault that outlives the
-	// retry budget surfaces as an error instead — the page is not
-	// poisoned, because the fault is in the path to the device (e.g. a
-	// flapping network connection), not in the page.
+	// RetryFaults retries transiently failed references, at most
+	// maxRefRetries times each. Permanent faults quarantine the complex
+	// object immediately (as SkipObject); a transient fault that
+	// outlives the retry budget surfaces as an error instead — the page
+	// is not poisoned, because the fault is in the path to the device
+	// (e.g. a flapping network connection), not in the page.
 	RetryFaults
 )
 
@@ -165,14 +161,12 @@ type Operator struct {
 
 	sched     Scheduler
 	shared    *sharedTable
-	tr        *trace.Tracer
 	liveItems int
 	liveSet   map[*workItem]bool
 	inputDone bool
 	outq      []*workItem
 	footprint map[disk.PageID]int
-	stats     Stats
-	cells     *opCells
+	probe     probe
 	open      bool
 	// pressure marks buffer exhaustion: admission pauses (the
 	// effective window shrinks) until pins drain at the next emission
@@ -186,14 +180,11 @@ type Operator struct {
 	// bounds pin waits, and drives the abort path. Nil means unbounded
 	// (the pre-lifecycle behavior).
 	ctx context.Context
-	// qspan is the operator's per-query span (see internal/qtrace),
-	// opened at Open under the span carried in ctx; qctx carries it to
-	// the buffer and storage layers so fetches, hits, misses, and
-	// device seeks attribute to this query. Both are nil (no-ops) when
-	// the query is untraced. qid stamps every assembly trace event.
-	qspan *qtrace.Span
-	qctx  context.Context
-	qid   uint64
+	// qctx carries the probe's per-query span (see internal/qtrace),
+	// opened at Open under the span carried in ctx, to the buffer and
+	// storage layers so fetches, hits, misses, and device seeks
+	// attribute to this query. It is nil when the query is untraced.
+	qctx context.Context
 	// batcher is the scheduler's batch interface when ShardPrefetch is
 	// on; batchq holds the tail of the current batch (already
 	// prefetched, resolved one per scheduling step). laneSpans/laneCtxs
@@ -237,7 +228,7 @@ func New(input volcano.Iterator, store *object.Store, tmpl *Template, opts Optio
 }
 
 // Stats returns the operator's counters (valid after Open).
-func (op *Operator) Stats() Stats { return op.stats }
+func (op *Operator) Stats() Stats { return op.probe.stats }
 
 // PlanNode implements volcano.PlanNoder, so assembly plans render in
 // volcano.Explain output.
@@ -273,36 +264,45 @@ func (op *Operator) Open() error {
 	default:
 		op.sched = NewScheduler(op.Opts.Scheduler)
 	}
-	if op.Opts.UseSharingStats {
-		op.shared = newSharedTable(op.Store.File.Pool())
-	}
-	op.tr = op.Opts.Tracer
-	op.liveItems = 0
-	op.liveSet = map[*workItem]bool{}
-	op.inputDone = false
-	op.outq = nil
-	op.footprint = map[disk.PageID]int{}
-	op.stats = Stats{}
-	op.cells = newOpCells(op.Opts.Metrics, op.sched.Name())
-	op.cells.occupancy.Set(0)
-	op.pressure = false
-	op.stall = 0
-	op.qspan, op.qctx = qtrace.Start(op.ctx, qtrace.LayerAssembly, "assemble")
-	op.qid = op.qspan.QID()
 	op.batcher = nil
-	op.batchq = nil
-	op.laneSpans = nil
-	op.laneCtxs = nil
 	if op.Opts.ShardPrefetch {
 		b, ok := op.sched.(BatchScheduler)
 		if !ok {
 			return fmt.Errorf("assembly: ShardPrefetch needs a batch-capable scheduler, got %s", op.sched.Name())
 		}
 		op.batcher = b
-		op.laneSpans = make([]*qtrace.Span, b.Lanes())
-		op.laneCtxs = make([]context.Context, b.Lanes())
+	}
+	if op.Opts.UseSharingStats {
+		op.shared = newSharedTable(op.Store.File.Pool())
+	}
+	op.liveItems = 0
+	op.liveSet = map[*workItem]bool{}
+	op.inputDone = false
+	op.outq = nil
+	op.footprint = map[disk.PageID]int{}
+	op.pressure = false
+	op.stall = 0
+	var span *qtrace.Span
+	span, op.qctx = qtrace.Start(op.ctx, qtrace.LayerAssembly, "assemble")
+	op.probe = newProbe(op.Opts.Metrics, op.sched.Name(), op.Opts.Tracer, span)
+	if op.Opts.ReserveFrames > 0 {
+		r, err := op.Store.File.Pool().Reserve(op.Opts.ReserveFrames)
+		if err != nil {
+			// A shed query never reaches Close: end its span here, or the
+			// trace charges the rest of the request to assembly.
+			span.End()
+			return err
+		}
+		op.reservation = r
+	}
+	op.batchq = nil
+	op.laneSpans = nil
+	op.laneCtxs = nil
+	if op.batcher != nil {
+		op.laneSpans = make([]*qtrace.Span, op.batcher.Lanes())
+		op.laneCtxs = make([]context.Context, op.batcher.Lanes())
 		for i := range op.laneSpans {
-			sp := op.qspan.StartChild(qtrace.LayerAssembly, fmt.Sprintf("shard%d", i))
+			sp := span.StartChild(qtrace.LayerAssembly, fmt.Sprintf("shard%d", i))
 			op.laneSpans[i] = sp
 			ctx := op.qctx
 			if ctx == nil {
@@ -311,18 +311,11 @@ func (op *Operator) Open() error {
 			op.laneCtxs[i] = qtrace.With(ctx, sp)
 		}
 	}
-	if op.Opts.ReserveFrames > 0 {
-		r, err := op.Store.File.Pool().Reserve(op.Opts.ReserveFrames)
-		if err != nil {
-			return err
-		}
-		op.reservation = r
-	}
 	if err := op.Input.Open(); err != nil {
 		op.reservation.Release()
 		op.reservation = nil
 		op.endLaneSpans()
-		op.qspan.End()
+		span.End()
 		return err
 	}
 	op.open = true
@@ -390,9 +383,7 @@ func (op *Operator) Next() (volcano.Item, error) {
 		}
 		// The policy decision: which reference the scheduler picked
 		// given the head position — the choice the whole paper is about.
-		if op.tr != nil {
-			op.tr.AssemblyQ(trace.KindChoose, uint64(ref.OID), int64(ref.RID.Page), int64(head), op.sched.Name(), op.qid)
-		}
+		op.probe.choose(ref, head)
 		if err := op.resolve(ref); err != nil {
 			return nil, op.fail(err)
 		}
@@ -421,7 +412,7 @@ func (op *Operator) Close() error {
 	op.batcher = nil
 	op.batchq = nil
 	op.endLaneSpans()
-	op.qspan.End()
+	op.probe.span.End()
 	// The admission quota returns to the pool on every exit path, error
 	// or not — a leaked reservation would shed later queries forever.
 	op.reservation.Release()
@@ -585,50 +576,38 @@ func (op *Operator) admit() error {
 		assembled: map[object.OID]*Instance{},
 		pages:     map[disk.PageID]bool{},
 	}
-	// Count the slot live up front so an abort during admission (a
-	// root-level predicate failure) balances the books.
-	op.liveItems++
-	op.cells.occupancy.Set(int64(op.liveItems))
-	op.liveSet[item] = true
+	// enter counts the slot live before any work, so an abort during
+	// admission (a root-level predicate failure) balances the books.
+	enter := func(root object.OID) {
+		op.liveItems++
+		op.liveSet[item] = true
+		op.probe.admit(root, op.liveItems)
+	}
 	switch v := raw.(type) {
 	case object.OID:
 		if v.IsNil() {
-			op.liveItems-- // nil root: nothing to assemble
-			op.cells.occupancy.Set(int64(op.liveItems))
-			delete(op.liveSet, item)
-			return nil
+			return nil // nil root: nothing to assemble
 		}
-		op.tr.AssemblyQ(trace.KindAdmit, uint64(v), trace.NoPage, trace.NoPage, "", op.qid)
-		if err := op.scheduleRef(item, nil, 0, op.Template, v); err != nil {
-			return err
-		}
+		enter(v)
+		err = op.scheduleRef(item, nil, 0, op.Template, v)
 	case *object.Object:
-		op.tr.AssemblyQ(trace.KindAdmit, uint64(v.OID), trace.NoPage, trace.NoPage, "", op.qid)
-		if _, err := op.place(item, nil, 0, op.Template, v, op.pageOf(v.OID)); err != nil {
-			return err
-		}
+		enter(v.OID)
+		_, err = op.place(item, nil, 0, op.Template, v, op.pageOf(v.OID))
 	case *Instance:
-		op.tr.AssemblyQ(trace.KindAdmit, uint64(v.OID()), trace.NoPage, trace.NoPage, "", op.qid)
-		if err := op.adopt(item, v); err != nil {
-			return err
-		}
+		enter(v.OID())
+		err = op.adopt(item, v)
 	case PartialRoot:
 		if v.Root.IsNil() {
-			op.liveItems--
-			op.cells.occupancy.Set(int64(op.liveItems))
-			delete(op.liveSet, item)
 			return nil
 		}
-		op.tr.AssemblyQ(trace.KindAdmit, uint64(v.Root), trace.NoPage, trace.NoPage, "", op.qid)
+		enter(v.Root)
 		item.pre = v.Sub
-		if err := op.scheduleRef(item, nil, 0, op.Template, v.Root); err != nil {
-			return err
-		}
+		err = op.scheduleRef(item, nil, 0, op.Template, v.Root)
 	default:
-		op.liveItems--
-		op.cells.occupancy.Set(int64(op.liveItems))
-		delete(op.liveSet, item)
 		return fmt.Errorf("assembly: unsupported input item type %T", raw)
+	}
+	if err != nil {
+		return err
 	}
 	op.settle(item)
 	return nil
@@ -675,17 +654,9 @@ func (op *Operator) dispatch(refs ...*Ref) {
 	if len(refs) == 0 {
 		return
 	}
-	if op.tr != nil {
-		for _, r := range refs {
-			op.tr.AssemblyQ(trace.KindPend, uint64(r.OID), int64(r.RID.Page), trace.NoPage, "", op.qid)
-		}
-	}
+	op.probe.refs(trace.KindPend, refs)
 	op.sched.Add(refs...)
-	n := op.sched.Len()
-	op.cells.refPool.Set(int64(n))
-	if n > op.stats.PeakRefPool {
-		op.stats.PeakRefPool = n
-	}
+	op.probe.queued(op.sched.Len())
 }
 
 // scheduleRef prepares and immediately dispatches a single reference.
@@ -734,20 +705,15 @@ func (op *Operator) resolve(ref *Ref) error {
 		return op.resolveOne(ref, nil)
 	}
 	batch := append([]*Ref{ref}, op.sched.TakeOnPage(ref.RID.Page)...)
-	if op.tr != nil {
-		// The first ref already traced as the scheduler's choice; the
-		// rest of the batch drained with it on the single page fix.
-		for _, r := range batch[1:] {
-			op.tr.AssemblyQ(trace.KindTake, uint64(r.OID), int64(r.RID.Page), trace.NoPage, "", op.qid)
-		}
-	}
+	// The first ref already traced as the scheduler's choice; the rest
+	// of the batch drained with it on the single page fix.
+	op.probe.refs(trace.KindTake, batch[1:])
 	pool := op.Store.File.Pool()
 	fr, err := pool.FixAs(op.qctx, ref.RID.Page)
 	if err != nil {
 		return op.batchFault(batch, fmt.Errorf("assembly: fix page %d: %w", ref.RID.Page, err))
 	}
-	op.stats.PageRequests++
-	op.cells.pageRequests.Inc()
+	op.probe.request()
 	pg := page.Wrap(fr.Data())
 	for _, r := range batch {
 		if !r.live() {
@@ -769,9 +735,7 @@ func (op *Operator) resolve(ref *Ref) error {
 func (op *Operator) resolveOne(ref *Ref, pg *page.Page) error {
 	item := ref.Item
 	item.pending--
-	op.stats.Resolved++
-	op.cells.resolved.Inc()
-	op.cells.refPool.Set(int64(op.sched.Len()))
+	op.probe.resolve(op.sched.Len())
 
 	// 1. Already assembled within this complex object (intra-object
 	// sharing)? Only shared template nodes pay the lookup, exactly as
@@ -781,10 +745,7 @@ func (op *Operator) resolveOne(ref *Ref, pg *page.Page) error {
 			op.link(item, ref, inst)
 			propagatePending(ref.Parent, -1)
 			op.maybeRegisterShared(ref.Parent)
-			op.stats.SharedLinks++
-			op.cells.sharedLinks.Inc()
-			op.qspan.OnLink()
-			op.tr.AssemblyQ(trace.KindLink, uint64(ref.OID), trace.NoPage, trace.NoPage, "intra", op.qid)
+			op.probe.link(ref, "intra")
 			op.settle(item)
 			return nil
 		}
@@ -796,10 +757,7 @@ func (op *Operator) resolveOne(ref *Ref, pg *page.Page) error {
 				op.maybeRegisterShared(ref.Parent)
 				item.assembled[ref.OID] = inst
 				op.noteFootprint(item, inst.page)
-				op.stats.SharedLinks++
-				op.cells.sharedLinks.Inc()
-				op.qspan.OnLink()
-				op.tr.AssemblyQ(trace.KindLink, uint64(ref.OID), trace.NoPage, trace.NoPage, "window", op.qid)
+				op.probe.link(ref, "window")
 				op.settle(item)
 				return nil
 			}
@@ -810,10 +768,7 @@ func (op *Operator) resolveOne(ref *Ref, pg *page.Page) error {
 		if inst, ok := item.pre[ref.OID]; ok {
 			delete(item.pre, ref.OID)
 			op.link(item, ref, inst)
-			op.stats.SharedLinks++
-			op.cells.sharedLinks.Inc()
-			op.qspan.OnLink()
-			op.tr.AssemblyQ(trace.KindLink, uint64(ref.OID), trace.NoPage, trace.NoPage, "stacked", op.qid)
+			op.probe.link(ref, "stacked")
 			// The pre-assembled subtree may itself be partial: walk it
 			// for unresolved references and account its members.
 			if err := op.adoptSubtree(item, inst); err != nil {
@@ -844,15 +799,9 @@ func (op *Operator) resolveOne(ref *Ref, pg *page.Page) error {
 		if err != nil {
 			return op.refFault(ref, fmt.Errorf("assembly: fetch %v: %w", ref.OID, err))
 		}
-		op.stats.PageRequests++
-		op.cells.pageRequests.Inc()
+		op.probe.request()
 	}
-	op.stats.Fetched++
-	op.cells.fetched.Inc()
-	op.qspan.OnFetch()
-	if op.tr != nil {
-		op.tr.AssemblyQ(trace.KindFetch, uint64(ref.OID), int64(ref.RID.Page), trace.NoPage, "", op.qid)
-	}
+	op.probe.fetch(ref)
 	op.pinPage(item, ref.RID.Page)
 	inst, err := op.place(item, ref.Parent, ref.Slot, ref.Node, obj, ref.RID.Page)
 	if err != nil {
@@ -891,10 +840,7 @@ func (op *Operator) refFault(ref *Ref, cause error) error {
 		}
 		if !op.pressure {
 			op.pressure = true
-			op.stats.WindowStalls++
-			op.cells.windowStalls.Inc()
-			op.qspan.OnStall()
-			op.tr.AssemblyQ(trace.KindStall, 0, trace.NoPage, trace.NoPage, "", op.qid)
+			op.probe.stall()
 		}
 		if err := op.shedPins(); err != nil {
 			return err
@@ -915,12 +861,9 @@ func (op *Operator) refFault(ref *Ref, cause error) error {
 	switch op.Opts.FaultPolicy {
 	case RetryFaults:
 		if disk.Retryable(cause) {
-			if ref.Attempts < op.maxRefRetries() {
+			if ref.Attempts < maxRefRetries {
 				ref.Attempts++
-				op.stats.FaultRetries++
-				op.cells.faultRetries.Inc()
-				op.qspan.OnRefRetry()
-				op.tr.AssemblyQ(trace.KindRetry, uint64(ref.OID), int64(ref.RID.Page), trace.NoPage, "", op.qid)
+				op.probe.retry(ref)
 				item.pending++
 				op.dispatch(ref)
 				return nil
@@ -932,9 +875,9 @@ func (op *Operator) refFault(ref *Ref, cause error) error {
 			// so the error surfaces to the caller instead.
 			return cause
 		}
-		return op.quarantine(item)
+		return op.drop(item, trace.KindQuarantine, "")
 	case SkipObject:
-		return op.quarantine(item)
+		return op.drop(item, trace.KindQuarantine, "")
 	default:
 		return cause
 	}
@@ -957,12 +900,10 @@ func (op *Operator) batchFault(batch []*Ref, cause error) error {
 	return first
 }
 
-func (op *Operator) maxRefRetries() int {
-	if op.Opts.MaxRefRetries < 1 {
-		return 3
-	}
-	return op.Opts.MaxRefRetries
-}
+// maxRefRetries bounds per-reference retries under RetryFaults.
+// Exhausting it on a still-transient error surfaces the error; only
+// permanent faults quarantine.
+const maxRefRetries = 3
 
 // place builds the instance for a fetched object, links it, evaluates
 // its predicate, and schedules its children. It returns nil when the
@@ -982,9 +923,8 @@ func (op *Operator) place(item *workItem, parent *Instance, slot int, node *Temp
 	// soon as possible if it has a chance of not satisfying a
 	// selection predicate" (Section 4).
 	if node.Pred != nil && !node.Pred.Eval(obj) {
-		op.stats.PredicateFails++
-		op.cells.predicateFails.Inc()
-		return nil, op.abort(item)
+		count(&op.probe.stats.PredicateFails, op.probe.predicateFails)
+		return nil, op.drop(item, trace.KindAbort, "")
 	}
 	op.link(item, &Ref{Parent: parent, Slot: slot, Item: item}, inst)
 	if node.Shared {
@@ -1002,7 +942,7 @@ func (op *Operator) place(item *workItem, parent *Instance, slot int, node *Temp
 		return nil, err
 	}
 	if aborted {
-		return nil, op.abort(item)
+		return nil, op.drop(item, trace.KindAbort, "")
 	}
 	op.dispatch(batch...)
 	return inst, nil
@@ -1051,35 +991,33 @@ func (op *Operator) settle(item *workItem) {
 	if item.pending == 0 && item.root != nil {
 		item.emitted = true
 		op.liveItems--
-		op.cells.occupancy.Set(int64(op.liveItems))
-		op.stats.Assembled++
-		op.cells.assembled.Inc()
-		op.tr.AssemblyQ(trace.KindEmit, uint64(item.root.OID()), trace.NoPage, trace.NoPage, "", op.qid)
+		op.probe.leave(trace.KindEmit, item.root.OID(), "", op.liveItems)
 		delete(op.liveSet, item)
 		op.outq = append(op.outq, item)
 	}
 }
 
-// abort abandons the item's assembly: its pending references die in
-// the scheduler (skipped lazily) and its footprint is released.
-func (op *Operator) abort(item *workItem) error {
-	return op.abortItem(item, "")
-}
-
-// abortItem is abort with a reason carried in the trace event's note:
-// empty for a predicate abort, or one of trace.ReasonDeadline /
-// ReasonCanceled / ReasonShed for a query-lifecycle abort.
-func (op *Operator) abortItem(item *workItem, reason string) error {
+// drop takes a complex object out of the window unfinished: abandoned
+// (trace.KindAbort, reason "" for a predicate, or one of
+// trace.ReasonDeadline / ReasonCanceled / ReasonShed for a
+// query-lifecycle abort) or quarantined after an unrecoverable fetch
+// fault (trace.KindQuarantine, counted in Stats.Skipped). Its pending
+// references die in the scheduler (skipped lazily), and its footprint
+// and pins drain, releasing any buffer pressure. Shared components it
+// already completed stay registered — they are whole subtrees, valid
+// for other complex objects to link.
+func (op *Operator) drop(item *workItem, kind, reason string) error {
 	if item.aborted {
 		return nil
 	}
 	item.aborted = true
 	op.liveItems--
-	op.cells.occupancy.Set(int64(op.liveItems))
-	op.stats.Aborted++
-	op.cells.aborted.Inc()
-	op.tr.AssemblyQ(trace.KindAbort, uint64(itemRoot(item)), trace.NoPage, trace.NoPage, reason, op.qid)
-	return op.discard(item)
+	op.probe.leave(kind, itemRoot(item), reason, op.liveItems)
+	delete(op.liveSet, item)
+	op.releaseFootprint(item)
+	op.pressure = false
+	op.stall = 0
+	return op.unpinFrames(item)
 }
 
 // lifecycleReason classifies a lifecycle-terminal error, or returns ""
@@ -1126,7 +1064,7 @@ func (op *Operator) fail(err error) error {
 func (op *Operator) abortLifecycle(reason string) error {
 	var errs []error
 	for item := range op.liveSet {
-		if err := op.abortItem(item, reason); err != nil {
+		if err := op.drop(item, trace.KindAbort, reason); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -1137,7 +1075,7 @@ func (op *Operator) abortLifecycle(reason string) error {
 		}
 	}
 	op.outq = nil
-	op.cells.lifecycleAborts.Inc()
+	op.probe.lifecycleAborts.Inc()
 	return errors.Join(errs...)
 }
 
@@ -1150,46 +1088,13 @@ func itemRoot(item *workItem) object.OID {
 	return item.root.OID()
 }
 
-// quarantine poisons one complex object after an unrecoverable fetch
-// fault: the object is discarded with its pins released and counted in
-// Stats.Skipped, while the rest of the window proceeds untouched.
-// Shared components it already completed stay registered — they are
-// whole subtrees, valid for other complex objects to link.
-func (op *Operator) quarantine(item *workItem) error {
-	if item.aborted {
-		return nil
-	}
-	item.aborted = true
-	op.liveItems--
-	op.cells.occupancy.Set(int64(op.liveItems))
-	op.stats.Skipped++
-	op.cells.skipped.Inc()
-	op.tr.AssemblyQ(trace.KindQuarantine, uint64(itemRoot(item)), trace.NoPage, trace.NoPage, "", op.qid)
-	return op.discard(item)
-}
-
-// discard is the shared tail of abort and quarantine: the item leaves
-// the live set and its footprint and pins drain, releasing any buffer
-// pressure.
-func (op *Operator) discard(item *workItem) error {
-	delete(op.liveSet, item)
-	op.releaseFootprint(item)
-	op.pressure = false
-	op.stall = 0
-	return op.unpinFrames(item)
-}
-
 func (op *Operator) noteFootprint(item *workItem, pg disk.PageID) {
 	if pg == disk.InvalidPage || item.pages[pg] {
 		return
 	}
 	item.pages[pg] = true
 	op.footprint[pg]++
-	n := len(op.footprint)
-	op.cells.windowPages.Set(int64(n))
-	if n > op.stats.PeakWindowPgs {
-		op.stats.PeakWindowPgs = n
-	}
+	op.probe.pages(len(op.footprint))
 }
 
 func (op *Operator) releaseFootprint(item *workItem) {
@@ -1199,7 +1104,7 @@ func (op *Operator) releaseFootprint(item *workItem) {
 			delete(op.footprint, pg)
 		}
 	}
-	op.cells.windowPages.Set(int64(len(op.footprint)))
+	op.probe.pages(len(op.footprint))
 	item.pages = map[disk.PageID]bool{}
 }
 

@@ -200,7 +200,9 @@ func (p *Pool) Device() disk.Device { return p.dev }
 
 // Stats returns a snapshot of the counters. It does not take the pool
 // lock — the counters are atomic cells — so it is safe to call from a
-// metrics scraper while fixes are in flight.
+// metrics scraper while fixes are in flight. The counters are never
+// reset: a run measures itself by differencing two snapshots with
+// Stats.Sub.
 func (p *Pool) Stats() Stats {
 	return Stats{
 		Hits:            p.hits.Value(),
@@ -213,19 +215,6 @@ func (p *Pool) Stats() Stats {
 		TransientErrors: p.transientErrs.Value(),
 		PermanentErrors: p.permanentErrs.Value(),
 	}
-}
-
-// ResetStats zeroes the counters.
-func (p *Pool) ResetStats() {
-	p.hits.Reset()
-	p.faults.Reset()
-	p.evictions.Reset()
-	p.flushes.Reset()
-	p.retries.Reset()
-	p.checksumFails.Reset()
-	p.transientErrs.Reset()
-	p.permanentErrs.Reset()
-	p.peakPins.Reset()
 }
 
 // RegisterMetrics attaches the pool's counters to r under the
@@ -252,9 +241,8 @@ func (p *Pool) RegisterMetrics(r *metrics.Registry, pool string) {
 }
 
 // SetTracer installs an event tracer on the pool: every hit, miss
-// (device read), eviction, flush, and unfix emits a buffer event, and
-// fix latencies feed the tracer's in-memory histograms. Pass nil to
-// disable tracing; the disabled hot path pays one branch.
+// (device read), eviction, flush, and unfix emits a buffer event. Pass
+// nil to disable tracing; the disabled hot path pays one branch.
 func (p *Pool) SetTracer(t *trace.Tracer) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -475,7 +463,7 @@ func (p *Pool) victimLocked() (*Frame, error) {
 		}
 	}
 	if p.tr != nil {
-		p.tr.Buffer(trace.KindEvict, int64(victim.id), 0)
+		p.tr.BufferQ(trace.KindEvict, int64(victim.id), 0, 0)
 	}
 	delete(p.table, victim.id)
 	victim.id = disk.InvalidPage
@@ -552,7 +540,7 @@ func (p *Pool) Unfix(f *Frame, setDirty bool) error {
 		if setDirty {
 			dirty = 1
 		}
-		p.tr.Buffer(trace.KindUnfix, int64(f.id), dirty)
+		p.tr.BufferQ(trace.KindUnfix, int64(f.id), dirty, 0)
 	}
 	return nil
 }
@@ -615,7 +603,7 @@ func (p *Pool) flushFrameLocked(f *Frame) error {
 	f.dirty = false
 	p.flushes.Inc()
 	if p.tr != nil {
-		p.tr.Buffer(trace.KindFlush, int64(f.id), 0)
+		p.tr.BufferQ(trace.KindFlush, int64(f.id), 0, 0)
 	}
 	return nil
 }

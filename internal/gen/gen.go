@@ -439,12 +439,11 @@ func Build(cfg Config) (*Database, error) {
 		}
 	}
 	// The pool must start cold and the head parked: the paper measures
-	// disk behaviour. The device keeps its load traffic in its counters;
-	// a measured run differences two Stats snapshots.
+	// disk behaviour. The device and the pool keep the load traffic in
+	// their counters; a measured run differences two Stats snapshots.
 	if err := pool.EvictAll(); err != nil {
 		return nil, err
 	}
-	pool.ResetStats()
 	dev.ResetHead()
 
 	// --- template ---

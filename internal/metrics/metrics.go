@@ -42,9 +42,10 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Reset zeroes the counter. It exists for buffer.Pool.ResetStats and
-// for re-arming the fault injector (disk.Faulty.SetConfig); a scraped
-// counter should normally never reset.
+// Reset zeroes the counter. It exists only for re-arming the fault
+// injector (disk.Faulty.SetConfig), whose counts describe one armed
+// configuration; every other counter is never reset, and a run
+// measures itself by differencing snapshots.
 func (c *Counter) Reset() { c.v.Store(0) }
 
 // Gauge is a cell that can go up and down. The zero value is ready to
@@ -70,9 +71,6 @@ func (g *Gauge) SetMax(n int64) {
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Reset zeroes the gauge.
-func (g *Gauge) Reset() { g.v.Store(0) }
 
 // GaugeFunc is a gauge whose value is computed at scrape time — queue
 // depths, head positions, pool occupancy. The function must be safe to
@@ -142,13 +140,3 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of all samples.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// Reset zeroes the histogram.
-func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-	h.max.Reset()
-}

@@ -272,7 +272,7 @@ func (c *Client) connect(ep *endpoint) (*clientConn, error) {
 	go cc.readLoop()
 	if ep.everUp {
 		c.reconnects.Inc()
-		c.cfg.Tracer.Net(trace.KindReconnect, trace.NoPage, 0, ep.addr)
+		c.cfg.Tracer.NetQ(trace.KindReconnect, trace.NoPage, 0, ep.addr, 0)
 	}
 	ep.everUp = true
 	ep.conn = cc
@@ -538,7 +538,7 @@ func (c *Client) failover(from *endpoint) bool {
 	c.mu.Unlock()
 	if changed {
 		c.failovers.Inc()
-		c.cfg.Tracer.Net(trace.KindFailover, trace.NoPage, int64(bestLSN), best.addr)
+		c.cfg.Tracer.NetQ(trace.KindFailover, trace.NoPage, int64(bestLSN), best.addr, 0)
 	}
 	return changed
 }

@@ -9,11 +9,13 @@ package qtrace_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"revelation/internal/assembly"
+	"revelation/internal/buffer"
 	"revelation/internal/disk"
 	"revelation/internal/gen"
 	"revelation/internal/metrics"
@@ -46,8 +48,9 @@ func runQueries(t *testing.T, db *gen.Database, k int, tr *trace.Tracer) *qtrace
 }
 
 // quiesce readies a built database for a read-only measured phase:
-// nothing dirty, nothing resident, stats at zero.
-func quiesce(t *testing.T, db *gen.Database) {
+// nothing dirty, nothing resident. It returns the pool counters the
+// phase is measured against.
+func quiesce(t *testing.T, db *gen.Database) buffer.Stats {
 	t.Helper()
 	if err := db.Pool.FlushAll(); err != nil {
 		t.Fatal(err)
@@ -55,7 +58,7 @@ func quiesce(t *testing.T, db *gen.Database) {
 	if err := db.Pool.EvictAll(); err != nil {
 		t.Fatal(err)
 	}
-	db.Pool.ResetStats()
+	return db.Pool.Stats()
 }
 
 func TestPerQueryAttributionLocal(t *testing.T) {
@@ -68,7 +71,7 @@ func TestPerQueryAttributionLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quiesce(t, db)
+	pool0 := quiesce(t, db)
 
 	// Tracers attach after the build, so every event in the stream
 	// belongs to the measured queries.
@@ -97,7 +100,7 @@ func TestPerQueryAttributionLocal(t *testing.T) {
 	// Leg 1 vs leg 2: span sums against device and pool deltas.
 	sum := qc.TotalAll()
 	dev := db.Device.Stats().Sub(devBefore)
-	pool := db.Pool.Stats()
+	pool := db.Pool.Stats().Sub(pool0)
 	if sum.Reads != dev.Reads {
 		t.Errorf("span reads %d != device reads %d", sum.Reads, dev.Reads)
 	}
@@ -390,5 +393,34 @@ func TestHedgeAttribution(t *testing.T) {
 	}
 	if pq.Reads != total.Reads {
 		t.Errorf("replay reads %d != span reads %d", pq.Reads, total.Reads)
+	}
+}
+
+// TestShedQueryEndsAssemblySpan: a query shed at admission (Open fails
+// with buffer.ErrAdmission) assembled nothing, and Drain never calls
+// Close after a failed Open, so the operator must end its span itself.
+// Otherwise the span stays open to the end of the trace and the time the
+// request spends after the shed is charged to the assembly layer.
+func TestShedQueryEndsAssemblySpan(t *testing.T) {
+	db, err := gen.Build(gen.Config{NumComplexObjects: 10, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qc := qtrace.NewCollector(1)
+	qt, root := qc.Begin("shed")
+	op := assembly.New(volcano.FromOIDs(db.Roots), db.Store, db.Template,
+		assembly.Options{Window: 4, ReserveFrames: db.Pool.Size() + 1})
+	_, err = volcano.DrainCtx(qtrace.With(context.Background(), root), op)
+	if !errors.Is(err, buffer.ErrAdmission) {
+		t.Fatalf("drain: %v, want buffer.ErrAdmission", err)
+	}
+	const after = 30 * time.Millisecond
+	time.Sleep(after)
+	qc.Finish(qt, "shed", err)
+	for _, lt := range qtrace.CriticalPath(qt) {
+		if lt.Layer == qtrace.LayerAssembly && lt.SelfNS > int64(after/4) {
+			t.Errorf("assembly self time %v after a shed at Open; the %v after it must not count",
+				time.Duration(lt.SelfNS), after)
+		}
 	}
 }

@@ -425,7 +425,7 @@ func (r *Router) PromoteReplica(i int, epoch uint64) (disk.Device, error) {
 	if es, ok := promoted.(interface{ SetEpoch(uint64) }); ok {
 		es.SetEpoch(epoch)
 	}
-	r.cfg.Tracer.Net(trace.KindPromote, trace.NoPage, int64(epoch), "shard:"+name)
+	r.cfg.Tracer.NetQ(trace.KindPromote, trace.NoPage, int64(epoch), "shard:"+name, 0)
 	return old, nil
 }
 
@@ -567,7 +567,7 @@ func (r *Router) CutOver(lo, hi disk.PageID, owner string) int {
 		}
 	}
 	if n > 0 {
-		r.cfg.Tracer.Net(trace.KindMigrate, int64(lo), int64(n), "shard:"+owner)
+		r.cfg.Tracer.NetQ(trace.KindMigrate, int64(lo), int64(n), "shard:"+owner, 0)
 	}
 	return n
 }
@@ -613,7 +613,7 @@ func (r *Router) noteDegraded(st *shardState, name string, sp *qtrace.Span) {
 	st.degraded = true
 	r.mu.Unlock()
 	if edge {
-		r.cfg.Tracer.Net(trace.KindFailover, trace.NoPage, 0, "shard:"+name)
+		r.cfg.Tracer.NetQ(trace.KindFailover, trace.NoPage, 0, "shard:"+name, 0)
 	}
 }
 

@@ -4,32 +4,32 @@ import (
 	"testing"
 
 	"revelation/internal/assembly"
+	"revelation/internal/buffer"
 	"revelation/internal/disk"
 	"revelation/internal/gen"
-	"revelation/internal/stats"
 	"revelation/internal/trace"
 	"revelation/internal/volcano"
 )
 
 // coldStart resets a generated database to the state every benchmark
-// run begins from: empty pool, zeroed pool counters, head parked at 0.
+// run begins from: empty pool, head parked at 0.
 func coldStart(t *testing.T, db *gen.Database) {
 	t.Helper()
 	if err := db.Pool.EvictAll(); err != nil {
 		t.Fatalf("EvictAll: %v", err)
 	}
-	db.Pool.ResetStats()
 	db.Device.ResetHead()
 }
 
 // tracedAssembly runs one assembly pass over db with every layer
 // traced into a collector and returns the replay and raw events next
-// to the layers' own counters for the pass.
-func tracedAssembly(t *testing.T, db *gen.Database, opts assembly.Options) (*trace.Replay, []trace.Event, disk.Stats, assembly.Stats) {
+// to the layers' own counters for the pass: the device and pool deltas
+// and the operator's stats.
+func tracedAssembly(t *testing.T, db *gen.Database, opts assembly.Options) (*trace.Replay, []trace.Event, disk.Stats, buffer.Stats, assembly.Stats) {
 	t.Helper()
 	col := &trace.Collector{}
 	tr := trace.New(col)
-	dev0 := db.Device.Stats()
+	dev0, pool0 := db.Device.Stats(), db.Pool.Stats()
 	disk.AttachTracer(db.Device, tr)
 	db.Pool.SetTracer(tr)
 	defer func() {
@@ -52,7 +52,7 @@ func tracedAssembly(t *testing.T, db *gen.Database, opts assembly.Options) (*tra
 		t.Fatalf("drained %d items but operator assembled %d", n, st.Assembled)
 	}
 	events := col.Events()
-	return trace.ReplayEvents(events), events, db.Device.Stats().Sub(dev0), st
+	return trace.ReplayEvents(events), events, db.Device.Stats().Sub(dev0), db.Pool.Stats().Sub(pool0), st
 }
 
 // TestReplayMatchesStats is the tentpole contract: for every scheduling
@@ -73,7 +73,7 @@ func TestReplayMatchesStats(t *testing.T) {
 				t.Fatalf("gen.Build: %v", err)
 			}
 			coldStart(t, db)
-			r, _, dev, st := tracedAssembly(t, db, assembly.Options{Window: 25, Scheduler: kind})
+			r, _, dev, pool, st := tracedAssembly(t, db, assembly.Options{Window: 25, Scheduler: kind})
 
 			got := r.Stats()
 			want := trace.RunStats{
@@ -96,7 +96,6 @@ func TestReplayMatchesStats(t *testing.T) {
 				t.Errorf("replay avg seek %v != device %v", r.AvgSeekPerRead(), dev.AvgSeekPerRead())
 			}
 			// The buffer layer must agree too.
-			pool := db.Pool.Stats()
 			if r.Hits != pool.Hits || r.Misses != pool.Faults {
 				t.Errorf("replay hits/misses %d/%d != pool %d/%d", r.Hits, r.Misses, pool.Hits, pool.Faults)
 			}
@@ -109,7 +108,7 @@ func TestReplayMatchesStats(t *testing.T) {
 
 // TestReplayMatchesFaultReport extends the cross-check to a faulty
 // device: the replayed fault, retry, quarantine, and stall counts must
-// equal the stats.FaultReport the live layers produce.
+// equal the injector's, the pool's and the operator's own counters.
 func TestReplayMatchesFaultReport(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -138,30 +137,33 @@ func TestReplayMatchesFaultReport(t *testing.T) {
 				TransientFailures: 2,
 				PermanentRate:     0.01,
 			})
-			r, _, _, st := tracedAssembly(t, db, assembly.Options{
+			r, _, _, pool, st := tracedAssembly(t, db, assembly.Options{
 				Window:      25,
 				Scheduler:   assembly.Elevator,
 				FaultPolicy: tc.policy,
 			})
 
-			report := stats.CollectFaults(fd, db.Pool, nil, st)
-			if r.FaultsTransient != report.Device.Transient {
-				t.Errorf("replay transient faults %d != injector %d", r.FaultsTransient, report.Device.Transient)
+			faults := fd.FaultStats()
+			if r.FaultsTransient != faults.Transient {
+				t.Errorf("replay transient faults %d != injector %d", r.FaultsTransient, faults.Transient)
 			}
-			if r.FaultsPermanent != report.Device.Permanent {
-				t.Errorf("replay permanent faults %d != injector %d", r.FaultsPermanent, report.Device.Permanent)
+			if r.FaultsPermanent != faults.Permanent {
+				t.Errorf("replay permanent faults %d != injector %d", r.FaultsPermanent, faults.Permanent)
 			}
-			if r.Retries != report.FaultRetries {
-				t.Errorf("replay retries %d != report %d", r.Retries, report.FaultRetries)
+			if r.Hits != pool.Hits || r.Misses != pool.Faults {
+				t.Errorf("replay hits/misses %d/%d != pool %d/%d", r.Hits, r.Misses, pool.Hits, pool.Faults)
 			}
-			if r.Quarantined != report.Skipped {
-				t.Errorf("replay quarantined %d != report %d", r.Quarantined, report.Skipped)
+			if r.Retries != st.FaultRetries {
+				t.Errorf("replay retries %d != operator %d", r.Retries, st.FaultRetries)
 			}
-			if r.Assembled != report.Assembled {
-				t.Errorf("replay assembled %d != report %d", r.Assembled, report.Assembled)
+			if r.Quarantined != st.Skipped {
+				t.Errorf("replay quarantined %d != operator %d", r.Quarantined, st.Skipped)
 			}
-			if r.Stalls != report.WindowStalls {
-				t.Errorf("replay stalls %d != report %d", r.Stalls, report.WindowStalls)
+			if r.Assembled != st.Assembled {
+				t.Errorf("replay assembled %d != operator %d", r.Assembled, st.Assembled)
+			}
+			if r.Stalls != st.WindowStalls {
+				t.Errorf("replay stalls %d != operator %d", r.Stalls, st.WindowStalls)
 			}
 			if r.Assembled+r.Quarantined != 120 {
 				t.Errorf("assembled %d + quarantined %d != 120 admitted", r.Assembled, r.Quarantined)

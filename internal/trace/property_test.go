@@ -118,7 +118,7 @@ func TestElevatorSweepProperty(t *testing.T) {
 				t.Fatalf("gen.Build: %v", err)
 			}
 			coldStart(t, db)
-			r, events, _, _ := tracedAssembly(t, db, assembly.Options{Window: 10, Scheduler: assembly.Elevator})
+			r, events, _, _, _ := tracedAssembly(t, db, assembly.Options{Window: 10, Scheduler: assembly.Elevator})
 			elevatorModel(t, events)
 			if r.PeakWindow > 10 {
 				t.Errorf("peak window occupancy %d exceeds configured window 10", r.PeakWindow)
@@ -144,7 +144,7 @@ func TestWindowOccupancyBound(t *testing.T) {
 	} {
 		for _, w := range []int{1, 7, 50} {
 			coldStart(t, db)
-			r, _, _, _ := tracedAssembly(t, db, assembly.Options{Window: w, Scheduler: kind})
+			r, _, _, _, _ := tracedAssembly(t, db, assembly.Options{Window: w, Scheduler: kind})
 			if r.PeakWindow > w {
 				t.Errorf("%s W=%d: peak occupancy %d exceeds window", kind, w, r.PeakWindow)
 			}

@@ -1,5 +1,5 @@
 // Package trace is the observability substrate of the reproduction: a
-// low-overhead, pluggable event-tracing and metrics layer threaded
+// low-overhead, pluggable event-tracing layer threaded
 // through the disk device (seek/read/write with head position), the
 // buffer pool (hit/miss/evict/unfix), and the assembly operator
 // (reference chosen, policy decision, window admit/retire,
@@ -169,53 +169,36 @@ type Sink interface {
 	Emit(e Event)
 }
 
-// Tracer assigns sequence numbers, maintains the in-memory aggregates
-// (per layer/kind counts and the seek histogram), and fans events
-// out to its sinks. The zero *Tracer (nil) is a no-op: every method is
-// nil-safe, which is the whole overhead budget of disabled tracing —
-// one branch per instrumentation point.
+// Tracer assigns sequence numbers and fans events out to its sinks. It
+// keeps no aggregates: Replay recomputes every count from the stream.
+// The zero *Tracer (nil) is a no-op: every method is nil-safe, which is
+// the whole overhead budget of disabled tracing — one branch per
+// instrumentation point. Each layer has one emit method; its qid
+// argument attributes the event to a query, and 0 means unattributed.
 type Tracer struct {
-	mu     sync.Mutex
-	seq    uint64
-	sinks  []Sink
-	counts map[string]int64
-	seek   Hist
+	mu    sync.Mutex
+	seq   uint64
+	sinks []Sink
 }
 
-// New builds a tracer over the given sinks. A tracer with no sinks
-// still aggregates counts and the seek histogram.
+// New builds a tracer over the given sinks.
 func New(sinks ...Sink) *Tracer {
-	return &Tracer{sinks: sinks, counts: map[string]int64{}}
+	return &Tracer{sinks: sinks}
 }
 
-// Enabled reports whether the tracer records anything. It is the
-// documented way to skip expensive argument construction:
-//
-//	if tr.Enabled() { tr.Assembly(...) }
-func (t *Tracer) Enabled() bool { return t != nil }
-
-// emit assigns the sequence number, aggregates, and fans out.
+// emit assigns the sequence number and fans out.
 func (t *Tracer) emit(e Event) {
 	t.mu.Lock()
 	t.seq++
 	e.Seq = t.seq
-	t.counts[e.Layer+"/"+e.Kind]++
-	if e.Layer == LayerDisk && (e.Kind == KindRead || e.Kind == KindWrite) && e.Dist >= 0 {
-		t.seek.Add(e.Dist)
-	}
 	for _, s := range t.sinks {
 		s.Emit(e)
 	}
 	t.mu.Unlock()
 }
 
-// Disk records a physical access: kind is KindRead or KindWrite, head
+// DiskQ records a physical access: kind is KindRead or KindWrite, head
 // is the position before the access.
-func (t *Tracer) Disk(kind string, page, head, dist int64) {
-	t.DiskQ(kind, page, head, dist, 0)
-}
-
-// DiskQ is Disk with a query attribution (qid 0 means unattributed).
 func (t *Tracer) DiskQ(kind string, page, head, dist int64, qid uint64) {
 	if t == nil {
 		return
@@ -223,13 +206,8 @@ func (t *Tracer) DiskQ(kind string, page, head, dist int64, qid uint64) {
 	t.emit(Event{Layer: LayerDisk, Kind: kind, Page: page, Head: head, Dist: dist, QID: qid})
 }
 
-// DiskFault records an injected I/O fault; class is "transient" or
+// DiskFaultQ records an injected I/O fault; class is "transient" or
 // "permanent".
-func (t *Tracer) DiskFault(page int64, class string) {
-	t.DiskFaultQ(page, class, 0)
-}
-
-// DiskFaultQ is DiskFault with a query attribution.
 func (t *Tracer) DiskFaultQ(page int64, class string, qid uint64) {
 	if t == nil {
 		return
@@ -237,13 +215,8 @@ func (t *Tracer) DiskFaultQ(page int64, class string, qid uint64) {
 	t.emit(Event{Layer: LayerDisk, Kind: KindFault, Page: page, Head: NoPage, Dist: NoPage, Note: class, QID: qid})
 }
 
-// Buffer records a pool event (hit/miss/evict/flush/unfix); n carries
+// BufferQ records a pool event (hit/miss/evict/flush/unfix); n carries
 // the event-specific flag (dirty bit on unfix).
-func (t *Tracer) Buffer(kind string, page int64, n int64) {
-	t.BufferQ(kind, page, n, 0)
-}
-
-// BufferQ is Buffer with a query attribution.
 func (t *Tracer) BufferQ(kind string, page int64, n int64, qid uint64) {
 	if t == nil {
 		return
@@ -280,14 +253,9 @@ func (t *Tracer) Redo(page int64, lsn uint64) {
 	t.emit(Event{Layer: LayerRecover, Kind: KindRedo, Page: page, Head: NoPage, Dist: NoPage, OID: lsn})
 }
 
-// Net records a page-service client event: a request sent, a response
-// received (n carries 0 for success, 1 for error), a hedged read, a
-// failover, or a reconnect. The endpoint travels in the note.
-func (t *Tracer) Net(kind string, page int64, n int64, endpoint string) {
-	t.NetQ(kind, page, n, endpoint, 0)
-}
-
-// NetQ is Net with a query attribution.
+// NetQ records a page-service client event: a request sent, a
+// response received (n carries 0 for success, 1 for error), a hedged
+// read, a failover, or a reconnect. The endpoint travels in the note.
 func (t *Tracer) NetQ(kind string, page int64, n int64, endpoint string, qid uint64) {
 	if t == nil {
 		return
@@ -295,13 +263,8 @@ func (t *Tracer) NetQ(kind string, page int64, n int64, endpoint string, qid uin
 	t.emit(Event{Layer: LayerNet, Kind: kind, Page: page, Head: NoPage, Dist: NoPage, N: n, Note: endpoint, QID: qid})
 }
 
-// Assembly records an operator event. page and head are NoPage when the
-// event has no physical address (emit, abort, stall).
-func (t *Tracer) Assembly(kind string, oid uint64, page, head int64, note string) {
-	t.AssemblyQ(kind, oid, page, head, note, 0)
-}
-
-// AssemblyQ is Assembly with a query attribution.
+// AssemblyQ records an operator event. page and head are NoPage when
+// the event has no physical address (emit, abort, stall).
 func (t *Tracer) AssemblyQ(kind string, oid uint64, page, head int64, note string, qid uint64) {
 	if t == nil {
 		return
@@ -326,30 +289,4 @@ func (t *Tracer) EndRun(name string, rs RunStats) {
 	}
 	stats := rs
 	t.emit(Event{Layer: LayerBench, Kind: KindEnd, Page: NoPage, Head: NoPage, Dist: NoPage, Note: name, Stats: &stats})
-}
-
-// Counts returns a snapshot of the per layer/kind event counts, keyed
-// "layer/kind".
-func (t *Tracer) Counts() map[string]int64 {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]int64, len(t.counts))
-	for k, v := range t.counts {
-		out[k] = v
-	}
-	return out
-}
-
-// SeekHist returns a snapshot of the seek-distance histogram (every
-// traced read and write contributes its head movement).
-func (t *Tracer) SeekHist() Hist {
-	if t == nil {
-		return Hist{}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.seek
 }

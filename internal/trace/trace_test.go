@@ -13,18 +13,13 @@ import (
 // default and guard with at most one branch.
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *trace.Tracer
-	if tr.Enabled() {
-		t.Error("nil tracer reports enabled")
-	}
-	tr.Disk(trace.KindRead, 3, 0, 3)
-	tr.DiskFault(3, "transient")
-	tr.Buffer(trace.KindHit, 3, 0)
-	tr.Assembly(trace.KindAdmit, 1, trace.NoPage, trace.NoPage, "")
+	tr.DiskQ(trace.KindRead, 3, 0, 3, 1)
+	tr.DiskFaultQ(3, "transient", 1)
+	tr.BufferQ(trace.KindHit, 3, 0, 1)
+	tr.NetQ(trace.KindSend, 3, 0, "ep", 1)
+	tr.AssemblyQ(trace.KindAdmit, 1, trace.NoPage, trace.NoPage, "", 1)
 	tr.BeginRun("r", 1)
 	tr.EndRun("r", trace.RunStats{})
-	if tr.Counts() != nil {
-		t.Error("nil tracer returned counts")
-	}
 }
 
 // TestWriterRoundTrip pins the JSONL wire format: events written by a
@@ -35,9 +30,9 @@ func TestWriterRoundTrip(t *testing.T) {
 	w := trace.NewWriter(&buf)
 	tr := trace.New(w)
 	tr.BeginRun("roundtrip", 7)
-	tr.Disk(trace.KindRead, 12, 4, 8)
-	tr.Buffer(trace.KindMiss, 12, 0)
-	tr.Assembly(trace.KindAdmit, 42, trace.NoPage, trace.NoPage, "")
+	tr.DiskQ(trace.KindRead, 12, 4, 8, 0)
+	tr.BufferQ(trace.KindMiss, 12, 0, 0)
+	tr.AssemblyQ(trace.KindAdmit, 42, trace.NoPage, trace.NoPage, "", 0)
 	rs := trace.RunStats{Reads: 1, SeekReads: 8, SeekTotal: 8}
 	tr.EndRun("roundtrip", rs)
 	if err := w.Close(); err != nil {
@@ -77,12 +72,12 @@ func TestWriterRoundTrip(t *testing.T) {
 func TestSplitRunsVerify(t *testing.T) {
 	col := &trace.Collector{}
 	tr := trace.New(col)
-	tr.Disk(trace.KindRead, 1, 0, 1) // before any run
+	tr.DiskQ(trace.KindRead, 1, 0, 1, 0) // before any run
 	tr.BeginRun("a", 2)
-	tr.Disk(trace.KindRead, 5, 1, 4)
+	tr.DiskQ(trace.KindRead, 5, 1, 4, 0)
 	tr.EndRun("a", trace.RunStats{Reads: 1, SeekReads: 4, SeekTotal: 4})
 	tr.BeginRun("b", 3)
-	tr.Disk(trace.KindRead, 9, 5, 4)
+	tr.DiskQ(trace.KindRead, 9, 5, 4, 0)
 	tr.EndRun("b", trace.RunStats{Reads: 99}) // forged
 
 	runs := trace.SplitRuns(col.Events())
@@ -100,28 +95,6 @@ func TestSplitRunsVerify(t *testing.T) {
 	}
 	if _, err := runs[2].Verify(); err == nil {
 		t.Error("forged run b passed verify")
-	}
-}
-
-// TestTracerCountsAndHists covers the in-memory side: the per-key
-// census and the seek histogram.
-func TestTracerCountsAndHists(t *testing.T) {
-	tr := trace.New()
-	if !tr.Enabled() {
-		t.Fatal("constructed tracer not enabled")
-	}
-	tr.Disk(trace.KindRead, 10, 0, 10)
-	tr.Disk(trace.KindRead, 10, 10, 0)
-	tr.Disk(trace.KindWrite, 20, 10, 10)
-	tr.Buffer(trace.KindHit, 10, 0)
-
-	counts := tr.Counts()
-	if counts["disk/read"] != 2 || counts["disk/write"] != 1 || counts["buffer/hit"] != 1 {
-		t.Errorf("census wrong: %v", counts)
-	}
-	// Reads and writes both feed the seek histogram: 10 + 0 + 10.
-	if h := tr.SeekHist(); h.Count != 3 || h.Sum != 20 || h.Max != 10 {
-		t.Errorf("seek hist wrong: %+v", h)
 	}
 }
 
@@ -166,15 +139,20 @@ func TestHist(t *testing.T) {
 func TestReplayReversals(t *testing.T) {
 	col := &trace.Collector{}
 	tr := trace.New(col)
-	tr.Disk(trace.KindRead, 10, 0, 10)
-	tr.Disk(trace.KindRead, 20, 10, 10)
-	tr.Disk(trace.KindRead, 5, 20, 15)
+	tr.DiskQ(trace.KindRead, 10, 0, 10, 0)
+	tr.DiskQ(trace.KindRead, 20, 10, 10, 0)
+	tr.DiskQ(trace.KindRead, 5, 20, 15, 0)
 	r := trace.ReplayEvents(col.Events())
 	if r.Reversals != 1 {
 		t.Errorf("reversals %d, want 1", r.Reversals)
 	}
 	if r.MaxSeek != 15 || r.SeekReads != 35 {
 		t.Errorf("seek reconstruction wrong: max %d total %d", r.MaxSeek, r.SeekReads)
+	}
+	// The census and the seek histogram live in the replay alone; the
+	// tracer keeps no aggregates.
+	if r.Counts["disk/read"] != 3 || r.SeekHist.Count != 3 || r.SeekHist.Sum != 35 {
+		t.Errorf("census %v, seek hist %+v; want 3 reads seeking 35 pages", r.Counts, r.SeekHist)
 	}
 	if s := r.Summary(); !strings.Contains(s, "disk") {
 		t.Errorf("summary missing disk layer:\n%s", s)

@@ -13,7 +13,7 @@ import (
 )
 
 // testImage builds a valid slotted-page image holding one record.
-func testImage(t *testing.T, pageSize int, payload string) []byte {
+func testImage(t testing.TB, pageSize int, payload string) []byte {
 	t.Helper()
 	buf := make([]byte, pageSize)
 	p := page.Wrap(buf)

@@ -217,16 +217,17 @@ func (e *Engine) AssembleAll(roots []OID, tmpl *Template, opts Options) ([]*Inst
 // maximum (see disk.Stats.Sub).
 func (e *Engine) DeviceStats() DeviceStats { return e.Device.Stats().Sub(e.devBase) }
 
-// ResetMeasurements starts a measured run: it clears the pool counters,
-// takes the device baseline DeviceStats reports against, and parks the
-// head; set cold to also empty the buffer pool first.
+// ResetMeasurements starts a measured run: it takes the device
+// baseline DeviceStats reports against and parks the head; set cold to
+// also empty the buffer pool first. No counter is cleared: the pool's,
+// like the device's, are never reset, so a caller measuring the pool
+// differences two Pool.Stats snapshots with Sub.
 func (e *Engine) ResetMeasurements(cold bool) error {
 	if cold {
 		if err := e.Pool.EvictAll(); err != nil {
 			return err
 		}
 	}
-	e.Pool.ResetStats()
 	e.devBase = e.Device.Stats()
 	e.Device.ResetHead()
 	return nil
